@@ -10,7 +10,9 @@
 //! payloads (out-of-range indices, bad mask words, invalid UTF-8) all
 //! surface as a typed [`DecodeError`].
 //!
-//! See the [module docs](super) for the full frame layout table.
+//! The frames themselves are [`Frame`] and [`WireFrontier`] from
+//! [`crate::shard`]; this module only encodes and decodes them. See the
+//! [module docs](super) for the full frame layout table.
 
 use std::io::{self, Read, Write};
 use std::sync::Arc;
@@ -20,7 +22,7 @@ use sparse_substrate::{MaskBits, Scalar, SparseVec};
 use crate::batch::BatchAlgorithmKind;
 use crate::engine::EngineError;
 use crate::masked::MaskMode;
-use crate::shard::ShardMsg;
+use crate::shard::{Frame, WireFrontier};
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"SMSV";
@@ -198,151 +200,6 @@ impl WireScalar for bool {
     }
 }
 
-/// A `Frontier` plus the sidecars the in-process router passes out of band:
-/// the output mask (rows, shared by every shard) and the batched-algorithm
-/// hint. On the wire they are part of the frame; [`ShardMsg`] stays the
-/// mask-free core protocol.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireFrontier<X> {
-    /// Router-unique request id, echoed by the reply.
-    pub request: u64,
-    /// Destination shard.
-    pub shard: usize,
-    /// The frontier slice, re-based to the shard's column range.
-    pub slice: SparseVec<X>,
-    /// Remaining deadline budget in microseconds (relative — the host
-    /// re-anchors it to a local `Instant` on receive).
-    pub deadline_micros: Option<u64>,
-    /// Output mask sidecar (full output height, shared by all shards).
-    pub mask: Option<(MaskBits, MaskMode)>,
-    /// Batched-algorithm hint sidecar.
-    pub algorithm: Option<BatchAlgorithmKind>,
-}
-
-/// Everything that can travel on a shard connection: the three [`ShardMsg`]
-/// variants plus the control frames (`Flush` = "execute everything queued
-/// on this connection", `Done` = the host's flush summary, `Goodbye` =
-/// orderly close).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Frame<X, Y> {
-    /// Router → host: one request's frontier slice (+ sidecars).
-    Frontier(WireFrontier<X>),
-    /// Host → router: one full-height partial product.
-    Partial {
-        /// Echoed request id.
-        request: u64,
-        /// Responding shard.
-        shard: usize,
-        /// The partial product.
-        partial: SparseVec<Y>,
-    },
-    /// Host → router: the sub-request failed.
-    Error {
-        /// Echoed request id.
-        request: u64,
-        /// Failing shard.
-        shard: usize,
-        /// What went wrong.
-        error: EngineError,
-    },
-    /// Router → host: flush the engine and reply to every frontier
-    /// received on this connection since the last flush.
-    Flush,
-    /// Host → router: flush finished; sent after the per-request replies
-    /// with the host engine's execution summary.
-    Done {
-        /// Responding shard.
-        shard: usize,
-        /// Lanes the host engine executed this flush.
-        lanes: u64,
-        /// Requests the host engine drained this flush.
-        requests: u64,
-        /// Host-side kernel wall time, microseconds.
-        execute_micros: u64,
-    },
-    /// Either direction: orderly connection close.
-    Goodbye,
-    /// Router → host: discovery probe sent immediately after dialing. The
-    /// host answers with [`Frame::Welcome`] before any traffic flows.
-    Hello,
-    /// Host → router: the host's advertisement, verified against the
-    /// router's `ShardPlan` at dial time — a host serving the wrong shard,
-    /// column range, height, or matrix structure is rejected with a typed
-    /// `PlanMismatch` instead of silently corrupting merges.
-    Welcome {
-        /// Shard id this host serves.
-        shard: usize,
-        /// First global column of the host's slice (inclusive).
-        col_start: usize,
-        /// One past the last global column of the host's slice.
-        col_end: usize,
-        /// Output height (rows of the original matrix).
-        nrows: usize,
-        /// Structural fingerprint of the host's matrix slice
-        /// (`CscMatrix::fingerprint`).
-        fingerprint: u64,
-    },
-    /// Router → host: liveness probe from the background heartbeat. The
-    /// host echoes the nonce in a [`Frame::Pong`].
-    Ping {
-        /// Opaque echo token correlating probe and reply.
-        nonce: u64,
-    },
-    /// Host → router: heartbeat reply.
-    Pong {
-        /// The nonce from the matching [`Frame::Ping`].
-        nonce: u64,
-    },
-}
-
-impl<X: Scalar, Y: Scalar> Frame<X, Y> {
-    /// Wraps a router→host reply-shaped [`ShardMsg`] (`Partial`/`Error`) or
-    /// a bare frontier (no sidecars) as a frame.
-    pub fn from_msg(msg: ShardMsg<X, Y>) -> Self {
-        match msg {
-            ShardMsg::Frontier { request, shard, len, indices, values, deadline_micros } => {
-                Frame::Frontier(WireFrontier {
-                    request,
-                    shard,
-                    slice: SparseVec::from_parts(len, indices, values)
-                        .expect("ShardMsg frontier was a valid vector"),
-                    deadline_micros,
-                    mask: None,
-                    algorithm: None,
-                })
-            }
-            ShardMsg::Partial { request, shard, len, indices, values } => Frame::Partial {
-                request,
-                shard,
-                partial: SparseVec::from_parts(len, indices, values)
-                    .expect("ShardMsg partial was a valid vector"),
-            },
-            ShardMsg::Error { request, shard, error } => Frame::Error { request, shard, error },
-        }
-    }
-
-    /// Unwraps a protocol frame back into its [`ShardMsg`] (sidecars
-    /// dropped). `None` for control frames.
-    pub fn into_msg(self) -> Option<ShardMsg<X, Y>> {
-        match self {
-            Frame::Frontier(w) => {
-                Some(ShardMsg::frontier(w.request, w.shard, w.slice, w.deadline_micros))
-            }
-            Frame::Partial { request, shard, partial } => {
-                Some(ShardMsg::partial(request, shard, partial))
-            }
-            Frame::Error { request, shard, error } => Some(ShardMsg::error(request, shard, error)),
-            Frame::Flush
-            | Frame::Done { .. }
-            | Frame::Goodbye
-            | Frame::Hello
-            | Frame::Welcome { .. }
-            | Frame::Ping { .. }
-            | Frame::Pong { .. } => None,
-        }
-    }
-}
-
 /// Bounds-checked little-endian cursor over a payload slice. Public only
 /// because [`WireScalar::read_le`] takes it; not constructible outside the
 /// codec.
@@ -483,103 +340,138 @@ fn read_spvec<T: WireScalar>(r: &mut Reader<'_>) -> Result<SparseVec<T>, DecodeE
 /// Appends the encoding of `frame` to `out`, returning the encoded byte
 /// count. Fails with [`DecodeError::Oversize`] when the payload would
 /// exceed `max_frame` (or `u32::MAX`) — the encoder enforces the same
-/// bound its peer's decoder will.
+/// bound its peer's decoder will — and leaves `out` as it was.
 pub fn encode_frame<X: WireScalar, Y: WireScalar>(
     frame: &Frame<X, Y>,
     out: &mut Vec<u8>,
     max_frame: usize,
 ) -> Result<usize, DecodeError> {
-    let start = out.len();
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    let mut payload = Vec::new();
+    let start = begin_frame(out);
     let tag = match frame {
         Frame::Frontier(w) => {
-            put_u64(&mut payload, w.request);
-            put_u32(&mut payload, w.shard as u32);
-            payload.push(X::TAG);
-            spvec_payload(&mut payload, &w.slice);
-            match w.deadline_micros {
-                None => payload.push(0),
-                Some(budget) => {
-                    payload.push(1);
-                    put_u64(&mut payload, budget);
-                }
-            }
-            match &w.mask {
-                None => payload.push(0),
-                Some((bits, mode)) => {
-                    payload.push(mask_mode_byte(*mode));
-                    put_u64(&mut payload, bits.len() as u64);
-                    put_u64(&mut payload, bits.words().len() as u64);
-                    for &word in bits.words() {
-                        put_u64(&mut payload, word);
-                    }
-                }
-            }
-            payload.push(algorithm_byte(w.algorithm));
+            frontier_payload(out, w);
             TAG_FRONTIER
         }
         Frame::Partial { request, shard, partial } => {
-            put_u64(&mut payload, *request);
-            put_u32(&mut payload, *shard as u32);
-            payload.push(Y::TAG);
+            put_u64(out, *request);
+            put_u32(out, *shard as u32);
+            out.push(Y::TAG);
             // Partial index order is a protocol invariant (the decoder
             // rejects anything non-monotone as hostile), so canonicalize
             // kernel output that arrives unsorted. Values ride along with
             // their indices — entry content is untouched.
             if partial.is_sorted() {
-                spvec_payload(&mut payload, partial);
+                spvec_payload(out, partial);
             } else {
-                spvec_payload(&mut payload, &partial.sorted());
+                spvec_payload(out, &partial.sorted());
             }
             TAG_PARTIAL
         }
         Frame::Error { request, shard, error } => {
-            put_u64(&mut payload, *request);
-            put_u32(&mut payload, *shard as u32);
-            payload.push(error_code(error));
+            put_u64(out, *request);
+            put_u32(out, *shard as u32);
+            out.push(error_code(error));
             if let EngineError::KernelFailed(msg) = error {
-                put_u32(&mut payload, msg.len() as u32);
-                payload.extend_from_slice(msg.as_bytes());
+                put_u32(out, msg.len() as u32);
+                out.extend_from_slice(msg.as_bytes());
             }
             TAG_ERROR
         }
         Frame::Flush => TAG_FLUSH,
         Frame::Goodbye => TAG_GOODBYE,
         Frame::Done { shard, lanes, requests, execute_micros } => {
-            put_u32(&mut payload, *shard as u32);
-            put_u64(&mut payload, *lanes);
-            put_u64(&mut payload, *requests);
-            put_u64(&mut payload, *execute_micros);
+            put_u32(out, *shard as u32);
+            put_u64(out, *lanes);
+            put_u64(out, *requests);
+            put_u64(out, *execute_micros);
             TAG_DONE
         }
         Frame::Hello => TAG_HELLO,
         Frame::Welcome { shard, col_start, col_end, nrows, fingerprint } => {
-            put_u32(&mut payload, *shard as u32);
-            put_u64(&mut payload, *col_start as u64);
-            put_u64(&mut payload, *col_end as u64);
-            put_u64(&mut payload, *nrows as u64);
-            put_u64(&mut payload, *fingerprint);
+            put_u32(out, *shard as u32);
+            put_u64(out, *col_start as u64);
+            put_u64(out, *col_end as u64);
+            put_u64(out, *nrows as u64);
+            put_u64(out, *fingerprint);
             TAG_WELCOME
         }
         Frame::Ping { nonce } => {
-            put_u64(&mut payload, *nonce);
+            put_u64(out, *nonce);
             TAG_PING
         }
         Frame::Pong { nonce } => {
-            put_u64(&mut payload, *nonce);
+            put_u64(out, *nonce);
             TAG_PONG
         }
     };
-    if payload.len() > max_frame || u32::try_from(payload.len()).is_err() {
+    seal_frame(out, start, tag, max_frame)
+}
+
+/// [`encode_frame`] for a frontier the caller keeps: encodes through the
+/// reference, so re-sending a queued frontier costs no copy of its slice
+/// or mask.
+pub(crate) fn encode_frontier<X: WireScalar>(
+    w: &WireFrontier<X>,
+    out: &mut Vec<u8>,
+    max_frame: usize,
+) -> Result<usize, DecodeError> {
+    let start = begin_frame(out);
+    frontier_payload(out, w);
+    seal_frame(out, start, TAG_FRONTIER, max_frame)
+}
+
+/// Appends a header whose tag and length [`seal_frame`] fills in once the
+/// payload has been written after it. Returns the frame's start offset.
+fn begin_frame(out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
+    out.extend_from_slice(&[0; HEADER_LEN - 5]);
+    start
+}
+
+/// Completes the header of the frame starting at `start`, or removes the
+/// frame again when its payload is over the limit.
+fn seal_frame(
+    out: &mut Vec<u8>,
+    start: usize,
+    tag: u8,
+    max_frame: usize,
+) -> Result<usize, DecodeError> {
+    let len = out.len() - start - HEADER_LEN;
+    let Some(len32) = u32::try_from(len).ok().filter(|_| len <= max_frame) else {
         out.truncate(start);
-        return Err(DecodeError::Oversize { len: payload.len(), limit: max_frame });
-    }
-    out.push(tag);
-    put_u32(out, payload.len() as u32);
-    out.extend_from_slice(&payload);
+        return Err(DecodeError::Oversize { len, limit: max_frame });
+    };
+    out[start + 5] = tag;
+    out[start + 6..start + HEADER_LEN].copy_from_slice(&len32.to_le_bytes());
     Ok(out.len() - start)
+}
+
+fn frontier_payload<X: WireScalar>(out: &mut Vec<u8>, w: &WireFrontier<X>) {
+    put_u64(out, w.request);
+    put_u32(out, w.shard as u32);
+    out.push(X::TAG);
+    spvec_payload(out, &w.slice);
+    match w.deadline_micros {
+        None => out.push(0),
+        Some(budget) => {
+            out.push(1);
+            put_u64(out, budget);
+        }
+    }
+    match &w.mask {
+        None => out.push(0),
+        Some((bits, mode)) => {
+            out.push(mask_mode_byte(*mode));
+            put_u64(out, bits.len() as u64);
+            put_u64(out, bits.words().len() as u64);
+            for &word in bits.words() {
+                put_u64(out, word);
+            }
+        }
+    }
+    out.push(algorithm_byte(w.algorithm));
 }
 
 /// Decodes one complete frame from the front of `buf`, returning it and
@@ -593,19 +485,7 @@ pub fn decode_frame<X: WireScalar, Y: WireScalar>(
     if buf.len() < HEADER_LEN {
         return Err(DecodeError::Truncated);
     }
-    let magic: [u8; 4] = buf[..4].try_into().expect("4-byte slice");
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic(magic));
-    }
-    if buf[4] != VERSION {
-        return Err(DecodeError::BadVersion(buf[4]));
-    }
-    let tag = buf[5];
-    let payload_len =
-        u32::from_le_bytes(buf[6..HEADER_LEN].try_into().expect("4-byte slice")) as usize;
-    if payload_len > max_frame {
-        return Err(DecodeError::Oversize { len: payload_len, limit: max_frame });
-    }
+    let (tag, payload_len) = parse_header(&buf[..HEADER_LEN], max_frame)?;
     if buf.len() < HEADER_LEN + payload_len {
         return Err(DecodeError::Truncated);
     }
@@ -613,7 +493,26 @@ pub fn decode_frame<X: WireScalar, Y: WireScalar>(
     Ok((frame, HEADER_LEN + payload_len))
 }
 
-fn decode_payload<X: WireScalar, Y: WireScalar>(
+/// Checks a frame header's magic, version and length limit, returning the
+/// frame tag and the declared payload length.
+fn parse_header(header: &[u8], max_frame: usize) -> Result<(u8, usize), DecodeError> {
+    let magic: [u8; 4] = header[..4].try_into().expect("4-byte slice");
+    if magic != MAGIC {
+        return Err(DecodeError::BadMagic(magic));
+    }
+    if header[4] != VERSION {
+        return Err(DecodeError::BadVersion(header[4]));
+    }
+    let payload_len =
+        u32::from_le_bytes(header[6..HEADER_LEN].try_into().expect("4-byte slice")) as usize;
+    if payload_len > max_frame {
+        return Err(DecodeError::Oversize { len: payload_len, limit: max_frame });
+    }
+    Ok((header[5], payload_len))
+}
+
+/// Decodes the payload of a frame whose header carried `tag`.
+pub(crate) fn decode_payload<X: WireScalar, Y: WireScalar>(
     tag: u8,
     payload: &[u8],
 ) -> Result<Frame<X, Y>, DecodeError> {
@@ -644,7 +543,7 @@ fn decode_payload<X: WireScalar, Y: WireScalar>(
                     let bits = MaskBits::from_words(len, words)
                         .map_err(|_| DecodeError::Corrupt("inconsistent mask words"))?;
                     let mode = if flag == 1 { MaskMode::Keep } else { MaskMode::Complement };
-                    Some((bits, mode))
+                    Some((Arc::new(bits), mode))
                 }
                 _ => return Err(DecodeError::Corrupt("unknown mask flag")),
             };
@@ -747,6 +646,25 @@ pub fn read_frame<X: WireScalar, Y: WireScalar, R: Read>(
     r: &mut R,
     max_frame: usize,
 ) -> FrameRead<X, Y> {
+    let Some((tag, payload)) = read_payload(r, max_frame)? else {
+        return Ok(None);
+    };
+    let frame = decode_payload(tag, &payload)?;
+    Ok(Some((frame, HEADER_LEN + payload.len())))
+}
+
+/// Payload bytes [`read_payload`] reserves before any of them arrive.
+const PAYLOAD_RESERVE: usize = 64 << 10;
+
+/// The I/O half of [`read_frame`]: reads one frame's header and payload
+/// without decoding the payload, returning the tag and the payload bytes.
+/// The buffer grows with the bytes that arrive, not with the length the
+/// header claims, so a peer that promises a huge frame and sends a few
+/// bytes commits only those.
+pub(crate) fn read_payload<R: Read>(
+    r: &mut R,
+    max_frame: usize,
+) -> Result<Option<(u8, Vec<u8>)>, WireError> {
     let mut header = [0u8; HEADER_LEN];
     let mut filled = 0;
     while filled < HEADER_LEN {
@@ -758,46 +676,11 @@ pub fn read_frame<X: WireScalar, Y: WireScalar, R: Read>(
             Err(e) => return Err(e.into()),
         }
     }
-    let magic: [u8; 4] = header[..4].try_into().expect("4-byte slice");
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic(magic).into());
+    let (tag, payload_len) = parse_header(&header, max_frame)?;
+    let mut payload = Vec::with_capacity(payload_len.min(PAYLOAD_RESERVE));
+    r.take(payload_len as u64).read_to_end(&mut payload)?;
+    if payload.len() < payload_len {
+        return Err(DecodeError::Truncated.into());
     }
-    if header[4] != VERSION {
-        return Err(DecodeError::BadVersion(header[4]).into());
-    }
-    let payload_len = u32::from_le_bytes(header[6..].try_into().expect("4-byte slice")) as usize;
-    if payload_len > max_frame {
-        return Err(DecodeError::Oversize { len: payload_len, limit: max_frame }.into());
-    }
-    let mut payload = vec![0u8; payload_len];
-    if let Err(e) = r.read_exact(&mut payload) {
-        return if e.kind() == io::ErrorKind::UnexpectedEof {
-            Err(DecodeError::Truncated.into())
-        } else {
-            Err(e.into())
-        };
-    }
-    let frame = decode_payload(header[5], &payload)?;
-    Ok(Some((frame, HEADER_LEN + payload_len)))
-}
-
-/// Builds the wire frontier for one routed sub-request: the [`ShardMsg`]
-/// core plus the mask/algorithm sidecars the in-process router passes by
-/// reference.
-pub fn wire_frontier<X: Scalar>(
-    request: u64,
-    shard: usize,
-    slice: SparseVec<X>,
-    deadline_micros: Option<u64>,
-    mask: Option<(Arc<MaskBits>, MaskMode)>,
-    algorithm: Option<BatchAlgorithmKind>,
-) -> WireFrontier<X> {
-    WireFrontier {
-        request,
-        shard,
-        slice,
-        deadline_micros,
-        mask: mask.map(|(bits, mode)| ((*bits).clone(), mode)),
-        algorithm,
-    }
+    Ok(Some((tag, payload)))
 }

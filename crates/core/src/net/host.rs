@@ -33,8 +33,9 @@ use std::time::{Duration, Instant};
 use sparse_substrate::{CscMatrix, Scalar, Semiring};
 
 use crate::engine::{Engine, EngineConfig, EngineError, MxvRequest, Ticket};
+use crate::shard::Frame;
 
-use super::codec::{read_frame, write_frame, Frame, WireScalar, DEFAULT_MAX_FRAME, HEADER_LEN};
+use super::codec::{read_frame, write_frame, WireScalar, DEFAULT_MAX_FRAME, HEADER_LEN};
 
 /// How long the accept loop sleeps between polls for new connections and
 /// the shutdown flag.
@@ -60,9 +61,12 @@ where
     info: HostInfo,
     max_frame: usize,
     shutdown: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<Conn>>>,
 }
+
+/// One served connection: a clone of its stream (so shutdown can sever it)
+/// and the worker thread serving it.
+type Conn = (TcpStream, JoinHandle<()>);
 
 /// What the host advertises in its `Welcome` frame — enough for a router
 /// to verify the host against its `ShardPlan` before routing traffic.
@@ -127,7 +131,6 @@ where
             max_frame: DEFAULT_MAX_FRAME,
             shutdown: Arc::new(AtomicBool::new(false)),
             conns: Arc::new(Mutex::new(Vec::new())),
-            workers: Arc::new(Mutex::new(Vec::new())),
         })
     }
 
@@ -156,26 +159,33 @@ where
 
     /// Runs the accept loop on the current thread until shutdown is
     /// signalled (see [`ShardHost::spawn`] for the handle that signals
-    /// it). Each connection is served by its own worker thread.
+    /// it). Each connection is served by its own worker thread; finished
+    /// workers are joined, and their stream clones closed, at every accept,
+    /// so reconnecting routers and heartbeat re-dials do not pile up fds
+    /// and thread handles for the life of the daemon.
     pub fn run(&self) {
         while !self.shutdown.load(Ordering::SeqCst) {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
+                    let mut conns = crate::engine::lock(&self.conns);
+                    for (_, worker) in conns.extract_if(.., |(_, w)| w.is_finished()) {
+                        let _ = worker.join();
+                    }
                     // Blocking per-connection I/O; the nonblocking flag is
                     // a listener-level property on all mainstream
                     // platforms, but reset it explicitly to stay portable.
                     let _ = stream.set_nonblocking(false);
                     let _ = stream.set_nodelay(true);
-                    if let Ok(clone) = stream.try_clone() {
-                        crate::engine::lock(&self.conns).push(clone);
-                    }
+                    // A stream that cannot be cloned could not be severed
+                    // at shutdown; refuse it (the drop closes it).
+                    let Ok(clone) = stream.try_clone() else { continue };
                     let engine = Arc::clone(&self.engine);
                     let info = self.info.clone();
                     let max_frame = self.max_frame;
                     let worker = std::thread::spawn(move || {
                         serve_connection(engine, info, stream, max_frame);
                     });
-                    crate::engine::lock(&self.workers).push(worker);
+                    conns.push((clone, worker));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(ACCEPT_POLL);
@@ -191,9 +201,8 @@ where
         let addr = self.local_addr().expect("listener has a local address");
         let shutdown = Arc::clone(&self.shutdown);
         let conns = Arc::clone(&self.conns);
-        let workers = Arc::clone(&self.workers);
         let accept = std::thread::spawn(move || self.run());
-        ShardHostHandle { addr, shutdown, conns, workers, accept }
+        ShardHostHandle { addr, shutdown, conns, accept }
     }
 }
 
@@ -204,8 +213,7 @@ where
 pub struct ShardHostHandle {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
-    workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<Conn>>>,
     accept: JoinHandle<()>,
 }
 
@@ -217,15 +225,14 @@ impl ShardHostHandle {
 
     fn stop(self, join_workers: bool) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for stream in crate::engine::lock(&self.conns).drain(..) {
+        let _ = self.accept.join();
+        let conns: Vec<Conn> = crate::engine::lock(&self.conns).drain(..).collect();
+        for (stream, _) in &conns {
             let _ = stream.shutdown(Shutdown::Both);
         }
-        let _ = self.accept.join();
         if join_workers {
-            let workers: Vec<JoinHandle<()>> =
-                crate::engine::lock(&self.workers).drain(..).collect();
-            for w in workers {
-                let _ = w.join();
+            for (_, worker) in conns {
+                let _ = worker.join();
             }
         }
     }
@@ -294,15 +301,14 @@ fn serve_connection<A, X, S>(
                 // a budget of zero (expired in flight) resolves without
                 // touching the engine — the router gets `DeadlineExceeded`,
                 // never a hung ticket.
-                let received = Instant::now();
                 let entry = match w.deadline_micros {
                     Some(0) => Inflight::Resolved(EngineError::DeadlineExceeded),
-                    budget => {
+                    _ => {
                         let request = MxvRequest {
+                            deadline: w.deadline_from(Instant::now()),
                             frontier: w.slice,
-                            mask: w.mask.map(|(bits, mode)| (Arc::new(bits), mode)),
+                            mask: w.mask,
                             algorithm: w.algorithm,
-                            deadline: budget.map(|b| received + Duration::from_micros(b)),
                         };
                         Inflight::Ticket(engine.submit(request))
                     }
@@ -314,23 +320,16 @@ fn serve_connection<A, X, S>(
                 let mut buf = Vec::new();
                 let mut ok = true;
                 for (id, entry) in inflight.drain(..) {
-                    let mut reply: Frame<X, S::Output> = match entry {
-                        Inflight::Resolved(e) => Frame::Error { request: id, shard, error: e },
-                        Inflight::Ticket(t) => match t.try_take() {
-                            Some(Ok(y)) => Frame::Partial { request: id, shard, partial: y },
-                            Some(Err(e)) => Frame::Error { request: id, shard, error: e },
-                            None => {
-                                t.cancel();
-                                Frame::Error {
-                                    request: id,
-                                    shard,
-                                    error: EngineError::KernelFailed(
-                                        "host never flushed the sub-request".into(),
-                                    ),
-                                }
-                            }
-                        },
+                    let result = match entry {
+                        Inflight::Resolved(e) => Err(e),
+                        Inflight::Ticket(t) => t.try_take().unwrap_or_else(|| {
+                            t.cancel();
+                            Err(EngineError::KernelFailed(
+                                "host never flushed the sub-request".into(),
+                            ))
+                        }),
                     };
+                    let mut reply: Frame<X, S::Output> = Frame::reply(id, shard, result);
                     // Malicious variant: echo a correlation id nobody asked
                     // for (chaos harness only — a no-op unless armed).
                     if crate::failpoint::act(&sites.wrong_id).is_err() {
@@ -415,4 +414,50 @@ fn serve_connection<A, X, S>(
         }
     }
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sparse_substrate::PlusTimes;
+
+    #[cfg(target_os = "linux")]
+    fn open_fds() -> usize {
+        std::fs::read_dir("/proc/self/fd").expect("procfs is mounted").count()
+    }
+
+    #[test]
+    fn dial_close_cycles_keep_workers_and_fds_bounded() {
+        let host = ShardHost::bind(
+            "127.0.0.1:0",
+            0,
+            0..8,
+            CscMatrix::identity(8, 1.0),
+            PlusTimes,
+            EngineConfig::default(),
+        )
+        .expect("bind an ephemeral localhost port");
+        let handle = host.spawn();
+        #[cfg(target_os = "linux")]
+        let fds_before = open_fds();
+        for _ in 0..500 {
+            let mut stream = TcpStream::connect(handle.addr()).expect("dial the host");
+            // The Welcome proves the host accepted and served this
+            // connection before the client hangs up.
+            write_frame::<f64, f64, _>(&mut stream, &Frame::Hello, DEFAULT_MAX_FRAME).unwrap();
+            let welcome = read_frame::<f64, f64, _>(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+            assert!(matches!(welcome, Some((Frame::Welcome { .. }, _))));
+        }
+        let tracked = crate::engine::lock(&handle.conns).len();
+        assert!(tracked <= 32, "{tracked} connections still tracked after 500 dial/close cycles");
+        #[cfg(target_os = "linux")]
+        {
+            let fds_after = open_fds();
+            assert!(
+                fds_after <= fds_before + 32,
+                "open fds grew from {fds_before} to {fds_after} over 500 dial/close cycles"
+            );
+        }
+        handle.shutdown();
+    }
 }

@@ -1,13 +1,15 @@
 //! Remote sharding: the shard protocol over sockets.
 //!
-//! The [`shard`](crate::shard) router was built against the plain-data
-//! [`ShardMsg`](crate::shard::ShardMsg) protocol precisely so the
-//! per-shard hop could leave the process. This module is that step — the
-//! CombBLAS lineage's distributed-memory decomposition realized as a
-//! serving fleet: shard engines live in [`ShardHost`] daemons, and a
-//! [`TcpTransport`] behind the unchanged
-//! [`ShardedEngine`](crate::shard::ShardedEngine) front door carries
-//! frontiers out and partials back. No external dependencies: the wire
+//! The [`shard`](crate::shard) router speaks one protocol to every
+//! transport: a [`WireFrontier`] goes out, a [`Frame::Partial`] or
+//! [`Frame::Error`] comes back. This module carries those same values
+//! across a process boundary — the CombBLAS lineage's distributed-memory
+//! decomposition realized as a serving fleet: shard engines live in
+//! [`ShardHost`] daemons, and a [`TcpTransport`] behind the unchanged
+//! [`ShardedEngine`](crate::shard::ShardedEngine) front door encodes
+//! frontiers out and decodes partials back. The protocol types live in
+//! [`crate::shard`] and are re-exported here; this module adds only the
+//! codec and the two socket endpoints. No external dependencies: the wire
 //! format is hand-rolled length-prefixed little-endian framing over
 //! `std::net`.
 //!
@@ -119,9 +121,10 @@ mod codec;
 mod host;
 mod transport;
 
+pub use crate::shard::{Frame, WireFrontier};
 pub use codec::{
-    decode_frame, encode_frame, read_frame, write_frame, DecodeError, Frame, WireError,
-    WireFrontier, WireScalar, DEFAULT_MAX_FRAME, HEADER_LEN, MAGIC, VERSION,
+    decode_frame, encode_frame, read_frame, write_frame, DecodeError, WireError, WireScalar,
+    DEFAULT_MAX_FRAME, HEADER_LEN, MAGIC, VERSION,
 };
 pub use host::{ShardHost, ShardHostHandle};
 pub use transport::{ByzantineFrame, ConnectError, TcpConfig, TcpTransport};

@@ -43,13 +43,13 @@ use sparse_substrate::{Scalar, Semiring};
 
 use crate::engine::{EngineError, FlushOutcome};
 use crate::obs::{Counter, Gauge, Histogram, ObsConfig, Registry};
-use crate::shard::transport::{Exchange, ShardTransport, WireRequest};
-use crate::shard::{ShardMsg, ShardPlan, ShardedEngine};
+use crate::shard::transport::{Exchange, ShardTransport};
+use crate::shard::{budget_micros, Frame, ShardPlan, ShardedEngine, WireFrontier};
 use crate::stats::EngineStats;
 
 use super::codec::{
-    encode_frame, read_frame, write_frame, DecodeError, Frame, WireError, WireScalar,
-    DEFAULT_MAX_FRAME,
+    decode_payload, encode_frame, encode_frontier, read_frame, read_payload, write_frame,
+    DecodeError, WireError, WireScalar, DEFAULT_MAX_FRAME, HEADER_LEN,
 };
 
 /// Tuning knobs of a [`TcpTransport`].
@@ -225,7 +225,8 @@ struct NetMetrics {
     bytes_in: Arc<Counter>,
     /// `net.encode.time` — per-exchange frame encoding latency.
     encode_time: Arc<Histogram>,
-    /// `net.decode.time` — per-reply decode latency.
+    /// `net.decode.time` — per-reply payload decode latency (the wait for
+    /// the bytes is in `net.rpc.time`, not here).
     decode_time: Arc<Histogram>,
     /// `net.rpc.time` — per-shard scatter→gather round-trip latency.
     rpc_time: Arc<Histogram>,
@@ -575,13 +576,17 @@ fn probe_replica(shared: &Shared, s: usize, rep: &mut Replica, interval: Duratio
     }
 }
 
+/// A frontier queued for its shard, with its budget anchored to the
+/// router's clock at enqueue.
+type Queued<X> = (Option<Instant>, WireFrontier<X>);
+
 /// A [`ShardTransport`] whose shards are [`ShardHost`](super::ShardHost)
 /// daemons reached over TCP, each behind one or more replicas. Build a
 /// router on top of it with [`ShardedEngine::connect`] or
 /// [`ShardedEngine::connect_replicated`].
 pub struct TcpTransport<X, Y> {
     shared: Arc<Shared>,
-    queues: Vec<Mutex<Vec<WireRequest<X>>>>,
+    queues: Vec<Mutex<Vec<Queued<X>>>>,
     heartbeat: Option<std::thread::JoinHandle<()>>,
     marker: PhantomData<fn() -> (X, Y)>,
 }
@@ -667,17 +672,18 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
     }
 
     /// One scatter→gather round trip against one replica: (re)connect and
-    /// handshake, write every not-yet-answered frontier + a flush frame
-    /// with deadline budgets recomputed *now*, then read one reply per
-    /// frontier and the host's `Done` summary. Successful replies land in
-    /// `replies` only when the whole attempt succeeds, so a failed attempt
-    /// leaves the batch intact for the next replica.
+    /// handshake, write every queued frontier + a flush frame with deadline
+    /// budgets recomputed *now*, then read one reply per frontier and the
+    /// host's `Done` summary. Replies land in `replies` only when the whole
+    /// attempt succeeds, so a failed attempt leaves the batch intact for
+    /// the next replica. A frontier that cannot be encoded (oversize) fails
+    /// on its own and leaves the batch for good.
     fn attempt(
         &self,
         s: usize,
         rep: &mut Replica,
-        batch: &[WireRequest<X>],
-        replies: &mut Vec<ShardMsg<X, Y>>,
+        batch: &mut Vec<Queued<X>>,
+        replies: &mut Vec<Frame<X, Y>>,
     ) -> Result<Option<FlushOutcome>, AttemptError> {
         let shared = &self.shared;
         shared.ensure_connected(s, rep, shared.config.connect_retries)?;
@@ -689,42 +695,24 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
         // `DeadlineExceeded` without touching its engine).
         let t_encode = Instant::now();
         let mut buf = Vec::new();
-        for req in batch {
-            if replies.iter().any(|m| m.request() == req.request) {
-                // Failed permanently on an earlier attempt (oversize).
-                continue;
-            }
-            let budget = req
-                .deadline
-                .map(|d| d.saturating_duration_since(Instant::now()).as_micros() as u64)
-                .or(req.deadline_micros);
-            let frame: Frame<X, Y> = Frame::Frontier(super::codec::wire_frontier(
-                req.request,
-                s,
-                req.slice.clone(),
-                budget,
-                req.mask.clone(),
-                req.algorithm,
-            ));
-            if let Err(e) = encode_frame(&frame, &mut buf, shared.config.max_frame) {
-                // An unencodable frontier (oversize) fails only its own
-                // request — deterministically, so no replica retries it.
-                replies.push(ShardMsg::error(
-                    req.request,
-                    s,
-                    EngineError::KernelFailed(format!("shard {s}: encode: {e}")),
-                ));
-            }
-        }
+        batch.retain_mut(|(deadline, frontier)| {
+            frontier.deadline_micros = deadline.map(budget_micros);
+            let Err(e) = encode_frontier(frontier, &mut buf, shared.config.max_frame) else {
+                return true;
+            };
+            // Deterministic, so no replica retries it.
+            replies.push(Frame::Error {
+                request: frontier.request,
+                shard: s,
+                error: EngineError::KernelFailed(format!("shard {s}: encode: {e}")),
+            });
+            false
+        });
         let flush: Frame<X, Y> = Frame::Flush;
         if let Err(e) = encode_frame(&flush, &mut buf, shared.config.max_frame) {
             return Err(AttemptError::Outage(format!("encode: flush frame: {e}")));
         }
         shared.metrics.encode_time.record_duration(t_encode.elapsed());
-        // Oversize casualties were already failed above; everything else
-        // expects exactly one reply.
-        let expect: Vec<&WireRequest<X>> =
-            batch.iter().filter(|r| !replies.iter().any(|m| m.request() == r.request)).collect();
 
         let stream = rep.stream.as_mut().expect("just connected");
         if let Err(e) = stream.write_all(&buf) {
@@ -732,18 +720,22 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
         }
         shared.metrics.bytes_out.add(buf.len() as u64);
 
-        // Gather: one reply per live frontier, then the Done summary.
-        // Anything the host sends that we did not ask for — an unknown or
-        // duplicate correlation id, a wrong shard, a wrong height, bytes
-        // that do not decode — is byzantine and quarantines the replica.
-        let mut gathered: Vec<ShardMsg<X, Y>> = Vec::with_capacity(expect.len());
+        // Gather: one reply per frontier, then the Done summary. Anything
+        // the host sends that we did not ask for — an unknown or duplicate
+        // correlation id, a wrong shard, a wrong height, bytes that do not
+        // decode — is byzantine and quarantines the replica.
+        let mut gathered: Vec<Frame<X, Y>> = Vec::with_capacity(batch.len());
+        let mut answered = vec![false; batch.len()];
         let done = loop {
-            let t_decode = Instant::now();
-            let frame = match read_frame::<X, Y, _>(stream, shared.config.max_frame) {
-                Ok(Some((frame, n))) => {
-                    shared.metrics.bytes_in.add(n as u64);
+            // Only decoding is timed: the wait for the host's kernel is
+            // already in `net.rpc.time`.
+            let frame = match read_payload(stream, shared.config.max_frame) {
+                Ok(Some((tag, payload))) => {
+                    shared.metrics.bytes_in.add((HEADER_LEN + payload.len()) as u64);
+                    let t_decode = Instant::now();
+                    let frame = decode_payload::<X, Y>(tag, &payload);
                     shared.metrics.decode_time.record_duration(t_decode.elapsed());
-                    frame
+                    frame.map_err(|e| AttemptError::Byzantine(ByzantineFrame::Corrupt(e)))?
                 }
                 Ok(None) => {
                     return Err(AttemptError::Outage("connection closed by host".to_string()))
@@ -755,77 +747,25 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
                     return Err(AttemptError::Byzantine(ByzantineFrame::Corrupt(e)));
                 }
             };
-            match frame {
-                Frame::Partial { request, shard, partial } => {
-                    if shard != s {
-                        return Err(AttemptError::Byzantine(ByzantineFrame::WrongShard {
-                            expected: s,
-                            got: shard,
-                        }));
-                    }
-                    if partial.len() != shared.nrows {
-                        return Err(AttemptError::Byzantine(ByzantineFrame::WrongHeight {
-                            expected: shared.nrows,
-                            got: partial.len(),
-                        }));
-                    }
-                    let req = expect.iter().find(|r| r.request == request);
-                    if req.is_none() || gathered.iter().any(|m| m.request() == request) {
-                        return Err(AttemptError::Byzantine(ByzantineFrame::UnexpectedRequest {
-                            request,
-                        }));
-                    }
-                    // Per-reply deadline check: a partial gathered after
-                    // its request's deadline is already worthless.
-                    let late = req.and_then(|r| r.deadline).is_some_and(|d| Instant::now() >= d);
-                    if late {
-                        gathered.push(ShardMsg::error(
-                            request,
-                            shard,
-                            EngineError::DeadlineExceeded,
-                        ));
-                    } else {
-                        gathered.push(ShardMsg::partial(request, shard, partial));
-                    }
-                }
-                Frame::Error { request, shard, error } => {
-                    if shard != s {
-                        return Err(AttemptError::Byzantine(ByzantineFrame::WrongShard {
-                            expected: s,
-                            got: shard,
-                        }));
-                    }
-                    if !expect.iter().any(|r| r.request == request)
-                        || gathered.iter().any(|m| m.request() == request)
-                    {
-                        return Err(AttemptError::Byzantine(ByzantineFrame::UnexpectedRequest {
-                            request,
-                        }));
-                    }
-                    // Attribute remote failures to their shard.
-                    let error = match error {
-                        EngineError::KernelFailed(msg) => {
-                            EngineError::KernelFailed(format!("shard {shard}: {msg}"))
-                        }
-                        other => other,
-                    };
-                    gathered.push(ShardMsg::error(request, shard, error));
+            let (request, shard) = match &frame {
+                Frame::Partial { request, shard, .. } | Frame::Error { request, shard, .. } => {
+                    (*request, *shard)
                 }
                 Frame::Done { shard, lanes, requests, execute_micros } => {
-                    if shard != s {
+                    if *shard != s {
                         return Err(AttemptError::Byzantine(ByzantineFrame::WrongShard {
                             expected: s,
-                            got: shard,
+                            got: *shard,
                         }));
                     }
-                    if gathered.len() < expect.len() {
+                    if gathered.len() < batch.len() {
                         return Err(AttemptError::Outage("host replied short".to_string()));
                     }
                     break Some(FlushOutcome {
-                        lanes: lanes as usize,
-                        requests: requests as usize,
+                        lanes: *lanes as usize,
+                        requests: *requests as usize,
                         timings: crate::timing::FlushTimings {
-                            execute: Duration::from_micros(execute_micros),
+                            execute: Duration::from_micros(*execute_micros),
                             ..Default::default()
                         },
                         ..Default::default()
@@ -834,27 +774,46 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
                 Frame::Goodbye => {
                     return Err(AttemptError::Outage("host said goodbye mid-flush".to_string()))
                 }
-                Frame::Frontier(_) => {
-                    return Err(AttemptError::Byzantine(ByzantineFrame::UnexpectedFrame(
-                        "Frontier",
-                    )))
-                }
-                Frame::Flush => {
-                    return Err(AttemptError::Byzantine(ByzantineFrame::UnexpectedFrame("Flush")))
-                }
-                Frame::Hello => {
-                    return Err(AttemptError::Byzantine(ByzantineFrame::UnexpectedFrame("Hello")))
-                }
-                Frame::Welcome { .. } => {
-                    return Err(AttemptError::Byzantine(ByzantineFrame::UnexpectedFrame("Welcome")))
-                }
-                Frame::Ping { .. } => {
-                    return Err(AttemptError::Byzantine(ByzantineFrame::UnexpectedFrame("Ping")))
-                }
-                Frame::Pong { .. } => {
-                    return Err(AttemptError::Byzantine(ByzantineFrame::UnexpectedFrame("Pong")))
+                Frame::Frontier(_) => return Err(unexpected("Frontier")),
+                Frame::Flush => return Err(unexpected("Flush")),
+                Frame::Hello => return Err(unexpected("Hello")),
+                Frame::Welcome { .. } => return Err(unexpected("Welcome")),
+                Frame::Ping { .. } => return Err(unexpected("Ping")),
+                Frame::Pong { .. } => return Err(unexpected("Pong")),
+            };
+            if shard != s {
+                return Err(AttemptError::Byzantine(ByzantineFrame::WrongShard {
+                    expected: s,
+                    got: shard,
+                }));
+            }
+            if let Frame::Partial { partial, .. } = &frame {
+                if partial.len() != shared.nrows {
+                    return Err(AttemptError::Byzantine(ByzantineFrame::WrongHeight {
+                        expected: shared.nrows,
+                        got: partial.len(),
+                    }));
                 }
             }
+            let slot = batch.iter().position(|(_, f)| f.request == request);
+            let Some(i) = slot.filter(|&i| !answered[i]) else {
+                return Err(AttemptError::Byzantine(ByzantineFrame::UnexpectedRequest { request }));
+            };
+            answered[i] = true;
+            gathered.push(match frame {
+                // Per-reply deadline check: a partial gathered after its
+                // request's deadline is already worthless.
+                Frame::Partial { .. } if batch[i].0.is_some_and(|d| Instant::now() >= d) => {
+                    Frame::Error { request, shard, error: EngineError::DeadlineExceeded }
+                }
+                // Attribute remote failures to their shard.
+                Frame::Error { error: EngineError::KernelFailed(msg), .. } => Frame::Error {
+                    request,
+                    shard,
+                    error: EngineError::KernelFailed(format!("shard {shard}: {msg}")),
+                },
+                reply => reply,
+            });
         };
         replies.extend(gathered);
         Ok(done)
@@ -870,29 +829,16 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
     fn exchange_shard(
         &self,
         s: usize,
-        batch: Vec<WireRequest<X>>,
-    ) -> (Vec<ShardMsg<X, Y>>, Option<FlushOutcome>) {
+        mut batch: Vec<Queued<X>>,
+    ) -> (Vec<Frame<X, Y>>, Option<FlushOutcome>) {
         let shared = &self.shared;
-        // Fails every sub-request that has no reply yet — the invariant is
-        // one reply per routed sub-request, whatever broke.
-        let fail_unanswered = |replies: &mut Vec<ShardMsg<X, Y>>, msg: &str| {
-            for req in &batch {
-                if !replies.iter().any(|m| m.request() == req.request) {
-                    replies.push(ShardMsg::error(
-                        req.request,
-                        s,
-                        EngineError::KernelFailed(format!("shard {s}: {msg}")),
-                    ));
-                }
-            }
-        };
         let mut replies = Vec::with_capacity(batch.len());
         let t_rpc = Instant::now();
         let order = shared.replica_order(s);
         let mut last_err = String::from("no replica configured");
         for (attempt_no, &r) in order.iter().enumerate() {
             let mut rep = crate::engine::lock(&shared.replicas[s][r]);
-            match self.attempt(s, &mut rep, &batch, &mut replies) {
+            match self.attempt(s, &mut rep, &mut batch, &mut replies) {
                 Ok(done) => {
                     shared.record_success(&mut rep);
                     if attempt_no > 0 {
@@ -919,10 +865,21 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
                 }
             }
         }
-        fail_unanswered(&mut replies, &last_err);
+        // Every replica failed: one reply per sub-request still unanswered,
+        // whatever broke.
+        replies.extend(batch.iter().map(|(_, f)| Frame::Error {
+            request: f.request,
+            shard: s,
+            error: EngineError::KernelFailed(format!("shard {s}: {last_err}")),
+        }));
         shared.metrics.rpc_time.record_duration(t_rpc.elapsed());
         (replies, None)
     }
+}
+
+/// A structurally valid frame that has no business in the reply direction.
+fn unexpected(frame: &'static str) -> AttemptError {
+    AttemptError::Byzantine(ByzantineFrame::UnexpectedFrame(frame))
 }
 
 impl<X, Y> ShardTransport<X, Y> for TcpTransport<X, Y>
@@ -934,8 +891,9 @@ where
         self.shared.replicas.len()
     }
 
-    fn enqueue(&self, request: WireRequest<X>) {
-        crate::engine::lock(&self.queues[request.shard]).push(request);
+    fn enqueue(&self, frontier: WireFrontier<X>) {
+        let deadline = frontier.deadline_from(Instant::now());
+        crate::engine::lock(&self.queues[frontier.shard]).push((deadline, frontier));
     }
 
     fn queued(&self, shard: usize) -> usize {
@@ -948,7 +906,7 @@ where
 
     fn retire(&self, ids: &[u64]) {
         for queue in &self.queues {
-            crate::engine::lock(queue).retain(|req| !ids.contains(&req.request));
+            crate::engine::lock(queue).retain(|(_, f)| !ids.contains(&f.request));
         }
     }
 
@@ -961,9 +919,9 @@ where
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for (s, queue) in self.queues.iter().enumerate() {
-                let batch: Vec<WireRequest<X>> = {
+                let batch: Vec<Queued<X>> = {
                     let mut queue = crate::engine::lock(queue);
-                    queue.drain(..).filter(|req| !retired.contains(&req.request)).collect()
+                    queue.drain(..).filter(|(_, f)| !retired.contains(&f.request)).collect()
                 };
                 if batch.is_empty() {
                     continue;
@@ -972,13 +930,11 @@ where
                 // shard's sub-requests fail with the same shape a broken
                 // connection produces.
                 if let Some(msg) = &down[s] {
-                    for req in &batch {
-                        replies.push(ShardMsg::error(
-                            req.request,
-                            s,
-                            EngineError::KernelFailed(format!("shard {s}: {msg}")),
-                        ));
-                    }
+                    replies.extend(batch.iter().map(|(_, f)| Frame::Error {
+                        request: f.request,
+                        shard: s,
+                        error: EngineError::KernelFailed(format!("shard {s}: {msg}")),
+                    }));
                     continue;
                 }
                 handles.push((s, scope.spawn(move || self.exchange_shard(s, batch))));

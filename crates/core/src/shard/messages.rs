@@ -1,168 +1,144 @@
-//! The process-agnostic router ↔ shard protocol.
+//! The router ↔ shard protocol: one frontier type, one frame enum.
 //!
-//! Every payload that crosses the shard boundary is a [`ShardMsg`]: plain
-//! owned data — `Vec`s of scalars, `u64` request ids, `String` errors —
-//! with no `Arc`s, borrows, thread handles, or `Instant`s. The in-process
-//! [`ShardedEngine`](super::ShardedEngine) routes these directly; a socket
-//! transport only needs an encoding for this enum (and a mask/deadline
-//! sidecar, both already plain data) to host shards out-of-process. See the
-//! [module docs](super) for the transport-readiness contract.
+//! [`WireFrontier`] is the only shape a routed sub-request takes, whether
+//! it is queued for an in-process shard engine or encoded onto a socket,
+//! and [`Frame::Partial`] / [`Frame::Error`] are the only shapes a reply
+//! takes. The remaining [`Frame`] variants are the socket transport's
+//! control frames. Encoding lives in [`crate::net`]; see its module docs
+//! for the byte layout.
 
-use sparse_substrate::{Scalar, SparseVec};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use sparse_substrate::{MaskBits, SparseVec};
+
+use crate::batch::BatchAlgorithmKind;
 use crate::engine::EngineError;
+use crate::masked::MaskMode;
 
-/// One message of the scatter/merge protocol. `X` is the input element
-/// type, `Y` the semiring's output type.
+/// Router → shard: one request's frontier slice plus the output mask and
+/// the algorithm hint that travel with it.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ShardMsg<X, Y> {
-    /// Router → shard: one request's frontier slice, re-based to the
-    /// shard's local column range (`indices[i] < len`, where `len` is the
-    /// width of the shard's sub-matrix).
-    Frontier {
-        /// Router-unique request id, echoed by the shard's reply.
-        request: u64,
-        /// Destination shard.
-        shard: usize,
-        /// Local (re-based) dimension of the slice = shard width.
-        len: usize,
-        /// Shard-local indices of the slice's entries.
-        indices: Vec<usize>,
-        /// Values parallel to `indices`.
-        values: Vec<X>,
-        /// Deadline budget in microseconds from send time (`None` = no
-        /// deadline). Relative, not absolute: wall clocks don't cross
-        /// process boundaries.
-        deadline_micros: Option<u64>,
-    },
-    /// Shard → router: one full-height partial product, to be ⊕-merged
+pub struct WireFrontier<X> {
+    /// Router-unique request id, echoed by the reply.
+    pub request: u64,
+    /// Destination shard.
+    pub shard: usize,
+    /// The frontier slice, re-based to the shard's column range.
+    pub slice: SparseVec<X>,
+    /// Remaining deadline budget in microseconds. Relative, not absolute:
+    /// wall clocks don't cross process boundaries, so whoever receives the
+    /// frontier re-anchors it to its own clock.
+    pub deadline_micros: Option<u64>,
+    /// Output mask (full output height, shared by every shard).
+    pub mask: Option<(Arc<MaskBits>, MaskMode)>,
+    /// Batched-algorithm hint.
+    pub algorithm: Option<BatchAlgorithmKind>,
+}
+
+impl<X> WireFrontier<X> {
+    /// The budget re-anchored to the local clock at `received`. A budget
+    /// too large to represent as an `Instant` is no deadline at all.
+    pub(crate) fn deadline_from(&self, received: Instant) -> Option<Instant> {
+        self.deadline_micros.and_then(|b| received.checked_add(Duration::from_micros(b)))
+    }
+}
+
+/// The budget left until `deadline`, in whole microseconds (0 once it has
+/// passed).
+pub(crate) fn budget_micros(deadline: Instant) -> u64 {
+    deadline.saturating_duration_since(Instant::now()).as_micros() as u64
+}
+
+/// Everything that can travel on a shard connection: the frontier, the two
+/// reply shapes, and the control frames (`Flush` = "execute everything
+/// queued on this connection", `Done` = the host's flush summary,
+/// `Goodbye` = orderly close, plus the discovery and heartbeat pairs).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Frame<X, Y> {
+    /// Router → host: one request's frontier slice.
+    Frontier(WireFrontier<X>),
+    /// Host → router: one full-height partial product, to be ⊕-merged
     /// with the other owning shards' partials.
     Partial {
         /// Echoed request id.
         request: u64,
         /// Responding shard.
         shard: usize,
-        /// Global output dimension (= matrix rows).
-        len: usize,
-        /// Global row indices of the partial's entries.
-        indices: Vec<usize>,
-        /// Values parallel to `indices`.
-        values: Vec<Y>,
+        /// The partial product.
+        partial: SparseVec<Y>,
     },
-    /// Shard → router: the sub-request failed. Fails only the tickets
+    /// Host → router: the sub-request failed. Fails only the tickets
     /// routed through this shard.
     Error {
         /// Echoed request id.
         request: u64,
         /// Failing shard.
         shard: usize,
-        /// What went wrong (already plain data — its only payload is the
-        /// `KernelFailed` message string).
+        /// What went wrong.
         error: EngineError,
+    },
+    /// Router → host: flush the engine and reply to every frontier
+    /// received on this connection since the last flush.
+    Flush,
+    /// Host → router: flush finished; sent after the per-request replies
+    /// with the host engine's execution summary.
+    Done {
+        /// Responding shard.
+        shard: usize,
+        /// Lanes the host engine executed this flush.
+        lanes: u64,
+        /// Requests the host engine drained this flush.
+        requests: u64,
+        /// Host-side kernel wall time, microseconds.
+        execute_micros: u64,
+    },
+    /// Either direction: orderly connection close.
+    Goodbye,
+    /// Router → host: discovery probe sent immediately after dialing. The
+    /// host answers with [`Frame::Welcome`] before any traffic flows.
+    Hello,
+    /// Host → router: the host's advertisement, verified against the
+    /// router's `ShardPlan` at dial time — a host serving the wrong shard,
+    /// column range, height, or matrix structure is rejected with a typed
+    /// `PlanMismatch` instead of silently corrupting merges.
+    Welcome {
+        /// Shard id this host serves.
+        shard: usize,
+        /// First global column of the host's slice (inclusive).
+        col_start: usize,
+        /// One past the last global column of the host's slice.
+        col_end: usize,
+        /// Output height (rows of the original matrix).
+        nrows: usize,
+        /// Structural fingerprint of the host's matrix slice
+        /// (`CscMatrix::fingerprint`).
+        fingerprint: u64,
+    },
+    /// Router → host: liveness probe from the background heartbeat. The
+    /// host echoes the nonce in a [`Frame::Pong`].
+    Ping {
+        /// Opaque echo token correlating probe and reply.
+        nonce: u64,
+    },
+    /// Host → router: heartbeat reply.
+    Pong {
+        /// The nonce from the matching [`Frame::Ping`].
+        nonce: u64,
     },
 }
 
-impl<X: Scalar, Y: Scalar> ShardMsg<X, Y> {
-    /// Packs a frontier slice for the wire (consumes the slice — the
-    /// message owns its payload).
-    pub fn frontier(
+impl<X, Y> Frame<X, Y> {
+    /// The reply to sub-request `request` on `shard`: a `Partial` for a
+    /// result, an `Error` for a failure.
+    pub(crate) fn reply(
         request: u64,
         shard: usize,
-        slice: SparseVec<X>,
-        deadline_micros: Option<u64>,
+        result: Result<SparseVec<Y>, EngineError>,
     ) -> Self {
-        let (len, indices, values) = slice.into_parts();
-        ShardMsg::Frontier { request, shard, len, indices, values, deadline_micros }
-    }
-
-    /// Packs a shard's partial product.
-    pub fn partial(request: u64, shard: usize, partial: SparseVec<Y>) -> Self {
-        let (len, indices, values) = partial.into_parts();
-        ShardMsg::Partial { request, shard, len, indices, values }
-    }
-
-    /// Packs a shard failure.
-    pub fn error(request: u64, shard: usize, error: EngineError) -> Self {
-        ShardMsg::Error { request, shard, error }
-    }
-
-    /// The request this message belongs to.
-    pub fn request(&self) -> u64 {
-        match self {
-            ShardMsg::Frontier { request, .. }
-            | ShardMsg::Partial { request, .. }
-            | ShardMsg::Error { request, .. } => *request,
+        match result {
+            Ok(partial) => Frame::Partial { request, shard, partial },
+            Err(error) => Frame::Error { request, shard, error },
         }
-    }
-
-    /// The shard this message is addressed to (`Frontier`) or from
-    /// (`Partial` / `Error`).
-    pub fn shard(&self) -> usize {
-        match self {
-            ShardMsg::Frontier { shard, .. }
-            | ShardMsg::Partial { shard, .. }
-            | ShardMsg::Error { shard, .. } => *shard,
-        }
-    }
-
-    /// Unpacks a `Frontier` payload back into a local sparse vector (the
-    /// shard side of the protocol). `None` for other variants.
-    pub fn into_frontier(self) -> Option<SparseVec<X>> {
-        match self {
-            ShardMsg::Frontier { len, indices, values, .. } => {
-                Some(SparseVec::from_parts(len, indices, values).expect("slice was a valid vector"))
-            }
-            _ => None,
-        }
-    }
-
-    /// Unpacks the router side of the protocol: `Ok(partial)` for a
-    /// `Partial`, `Err(error)` for an `Error`. `None` for a `Frontier`.
-    pub fn into_result(self) -> Option<Result<SparseVec<Y>, EngineError>> {
-        match self {
-            ShardMsg::Partial { len, indices, values, .. } => {
-                Some(Ok(SparseVec::from_parts(len, indices, values)
-                    .expect("partial was a valid vector")))
-            }
-            ShardMsg::Error { error, .. } => Some(Err(error)),
-            ShardMsg::Frontier { .. } => None,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn frontier_roundtrips_through_plain_parts() {
-        let slice = SparseVec::from_pairs(5, vec![(1, 2.0), (4, 8.0)]).unwrap();
-        let msg: ShardMsg<f64, f64> = ShardMsg::frontier(7, 2, slice.clone(), Some(1500));
-        assert_eq!(msg.request(), 7);
-        assert_eq!(msg.shard(), 2);
-        match &msg {
-            ShardMsg::Frontier { len, deadline_micros, .. } => {
-                assert_eq!(*len, 5);
-                assert_eq!(*deadline_micros, Some(1500));
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-        assert_eq!(msg.into_frontier(), Some(slice));
-    }
-
-    #[test]
-    fn partial_and_error_unpack_as_results() {
-        let partial = SparseVec::from_pairs(4, vec![(0, 1.0)]).unwrap();
-        let ok: ShardMsg<f64, f64> = ShardMsg::partial(3, 1, partial.clone());
-        assert_eq!(ok.into_result(), Some(Ok(partial)));
-        let err: ShardMsg<f64, f64> =
-            ShardMsg::error(3, 1, EngineError::KernelFailed("boom".into()));
-        assert_eq!(err.request(), 3);
-        assert_eq!(err.into_result(), Some(Err(EngineError::KernelFailed("boom".into()))));
-        // A frontier is not a result, and vice versa.
-        let f: ShardMsg<f64, f64> = ShardMsg::frontier(1, 0, SparseVec::new(2), None);
-        assert!(f.into_result().is_none());
-        let p: ShardMsg<f64, f64> = ShardMsg::partial(1, 0, SparseVec::new(2));
-        assert!(p.into_frontier().is_none());
     }
 }

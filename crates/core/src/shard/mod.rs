@@ -50,19 +50,19 @@
 //!
 //! ## Transports
 //!
-//! Everything that crosses the router↔shard boundary is expressed as a
-//! [`ShardMsg`] — a plain-data enum (frontier slice / partial result /
-//! error) with no `Arc`s, borrows, handles, or `Instant`s in its payload.
-//! The per-shard hop itself is pluggable: the router drives a
-//! [`ShardTransport`], with [`transport::InProcess`] submitting into shard
-//! engines in this address space (the [`ShardedEngine::partition`] path)
-//! and [`crate::net::TcpTransport`] carrying the same frames over sockets
-//! to [`crate::net::ShardHost`] daemons
-//! ([`ShardedEngine::connect`](crate::net)), optionally N replicas deep
-//! per shard ([`ShardedEngine::connect_replicated`](crate::net)) with
+//! Only two things cross the router↔shard boundary: a [`WireFrontier`]
+//! going out (the slice, its request id, a relative deadline budget, the
+//! shared `Arc`'d mask and the algorithm hint) and a [`Frame::Partial`] or
+//! [`Frame::Error`] coming back. Both transports use these types directly:
+//! the router drives a [`ShardTransport`], with [`transport::InProcess`]
+//! submitting into shard engines in this address space (the
+//! [`ShardedEngine::partition`] path) and [`crate::net::TcpTransport`]
+//! encoding the same values onto sockets to [`crate::net::ShardHost`]
+//! daemons ([`ShardedEngine::connect`](crate::net)), optionally N replicas
+//! deep per shard ([`ShardedEngine::connect_replicated`](crate::net)) with
 //! mid-flush failover, per-replica circuit breakers, and byzantine-frame
 //! quarantine. The router logic — scatter, fan-out bookkeeping, merge,
-//! failure isolation — is written against the message shape, so results
+//! failure isolation — is written against these two shapes, so results
 //! are bit-identical across transports (and across failovers: every
 //! replica of a shard serves the same column slice, verified at dial time
 //! against the plan's structural fingerprint).
@@ -84,7 +84,8 @@ mod router;
 pub mod transport;
 
 pub use merge::merge_partials;
-pub use messages::ShardMsg;
+pub(crate) use messages::budget_micros;
+pub use messages::{Frame, WireFrontier};
 pub use plan::ShardPlan;
 pub use router::{ShardFlushOutcome, ShardSession, ShardedEngine};
 pub use transport::ShardTransport;

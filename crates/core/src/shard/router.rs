@@ -15,8 +15,8 @@ use crate::failpoint;
 use crate::obs::{Counter, Gauge, Histogram, Registry, TraceKind};
 use crate::stats::EngineStats;
 
-use super::transport::{InProcess, ShardTransport, WireRequest};
-use super::{merge_partials, ShardMsg, ShardPlan};
+use super::transport::{InProcess, ShardTransport};
+use super::{budget_micros, merge_partials, Frame, ShardPlan, WireFrontier};
 
 /// One routed request awaiting its shards' partials: the client-facing
 /// ticket slot plus the owning shards it fanned out to, in ascending shard
@@ -271,8 +271,8 @@ where
     }
 
     /// Submits an anonymous request. Scattering happens here: the frontier
-    /// is sliced per owning shard ([`SparseVec::slice_remap`]), packed
-    /// through the [`ShardMsg`] protocol, and queued into the transport.
+    /// is sliced per owning shard ([`SparseVec::slice_remap`]), wrapped in
+    /// a [`WireFrontier`], and queued into the transport.
     /// The returned ticket resolves at the next [`ShardedEngine::flush`].
     pub fn submit(&self, request: MxvRequest<X>) -> Ticket<S::Output> {
         self.submit_tagged(0, request)
@@ -294,17 +294,13 @@ where
             if slice.nnz() == 0 {
                 continue;
             }
-            // The remaining budget at submit time; a socket transport
-            // recomputes it at write time so queue wait is clamped out.
-            let budget = request
-                .deadline
-                .map(|d| d.saturating_duration_since(Instant::now()).as_micros() as u64);
-            self.transport.enqueue(WireRequest {
+            // The remaining budget at submit time; each transport
+            // re-anchors it to its own clock on receipt.
+            self.transport.enqueue(WireFrontier {
                 request: id,
                 shard: s,
                 slice,
-                deadline_micros: budget,
-                deadline: request.deadline,
+                deadline_micros: request.deadline.map(budget_micros),
                 mask: request.mask.clone(),
                 algorithm: request.algorithm,
             });
@@ -370,8 +366,17 @@ where
         }
         outcome.lanes = outcome.per_shard.iter().map(|o| o.lanes).sum();
 
-        let mut replies: HashMap<(u64, usize), ShardMsg<X, S::Output>> =
-            exchange.replies.into_iter().map(|msg| ((msg.request(), msg.shard()), msg)).collect();
+        let mut replies: HashMap<_, _> = exchange
+            .replies
+            .into_iter()
+            .filter_map(|frame| match frame {
+                Frame::Partial { request, shard, partial } => Some(((request, shard), Ok(partial))),
+                Frame::Error { request, shard, error } => Some(((request, shard), Err(error))),
+                // Transports return only replies; a sub-request left
+                // without one fails below.
+                _ => None,
+            })
+            .collect();
 
         for r in routed {
             outcome.requests += 1;
@@ -382,14 +387,13 @@ where
             let mut partials: Vec<SparseVec<S::Output>> = Vec::with_capacity(r.fanout.len());
             let mut error: Option<EngineError> = None;
             for &s in &r.fanout {
-                let result = match replies.remove(&(r.id, s)) {
-                    Some(reply) => reply.into_result().expect("partial or error"),
-                    // The transport contract says every live sub-request
-                    // gets a reply; a hole is a transport fault.
-                    None => Err(EngineError::KernelFailed(format!(
+                // The transport contract says every live sub-request gets
+                // a reply; a hole is a transport fault.
+                let result = replies.remove(&(r.id, s)).unwrap_or_else(|| {
+                    Err(EngineError::KernelFailed(format!(
                         "shard {s}: no reply for the sub-request"
-                    ))),
-                };
+                    )))
+                });
                 match result {
                     Ok(y) => partials.push(y),
                     // First error in ascending shard order wins.

@@ -6,55 +6,28 @@
 //! in this address space — and [`crate::net::TcpTransport`] carries the
 //! same protocol over sockets to [`crate::net::ShardHost`] processes,
 //! failing over between replica hosts of a shard without the router
-//! noticing. The router is written purely against [`ShardMsg`]-shaped
-//! replies, so the transports are behaviorally interchangeable (the shard
-//! property suite asserts bit-identical results across them, replicated
-//! fleets with killed primaries included).
+//! noticing. Both take [`WireFrontier`]s in and hand [`Frame::Partial`] /
+//! [`Frame::Error`] replies back, so the transports are behaviorally
+//! interchangeable (the shard property suite asserts bit-identical results
+//! across them, replicated fleets with killed primaries included).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use sparse_substrate::{MaskBits, Scalar, Semiring, SparseVec};
+use sparse_substrate::{Scalar, Semiring};
 
-use crate::batch::BatchAlgorithmKind;
 use crate::engine::{Engine, EngineError, FlushOutcome, MxvRequest, Ticket};
-use crate::masked::MaskMode;
 use crate::obs::Registry;
 use crate::stats::EngineStats;
 
-use super::ShardMsg;
-
-/// One routed sub-request handed to a transport: the frontier slice
-/// (re-based to the shard's column range) plus the sidecars that ride
-/// outside [`ShardMsg`] — the shared output mask, the algorithm hint, and
-/// both flavors of the deadline (absolute for in-process engines and the
-/// gather-side re-check; relative for the wire).
-pub struct WireRequest<X> {
-    /// Router-unique request id.
-    pub request: u64,
-    /// Destination shard.
-    pub shard: usize,
-    /// The frontier slice, re-based to the shard's local columns.
-    pub slice: SparseVec<X>,
-    /// Remaining deadline budget in microseconds at submit time. A socket
-    /// transport recomputes this at write time so queue wait is clamped
-    /// out of the budget too.
-    pub deadline_micros: Option<u64>,
-    /// The router-local absolute deadline.
-    pub deadline: Option<Instant>,
-    /// Output mask sidecar (full output height — every shard shares it).
-    pub mask: Option<(Arc<MaskBits>, MaskMode)>,
-    /// Batched-algorithm hint sidecar.
-    pub algorithm: Option<BatchAlgorithmKind>,
-}
+use super::{Frame, WireFrontier};
 
 /// What one [`ShardTransport::exchange`] produced: the gathered replies in
 /// wire shape plus the execution telemetry the router folds into its
 /// [`ShardFlushOutcome`](super::ShardFlushOutcome).
 pub struct Exchange<X, Y> {
-    /// One `Partial`/`Error` reply per live sub-request, keyed by
-    /// `(request, shard)`.
-    pub replies: Vec<ShardMsg<X, Y>>,
+    /// One [`Frame::Partial`] or [`Frame::Error`] per live sub-request.
+    pub replies: Vec<Frame<X, Y>>,
     /// Each shard engine's own flush outcome, indexed by shard. A remote
     /// transport fills in the summary fields its host ships back (lanes,
     /// requests, execute time); a downed shard's slot stays default.
@@ -81,8 +54,9 @@ pub trait ShardTransport<X: Scalar, Y: Scalar>: Send + Sync {
     /// Number of shards behind this transport.
     fn num_shards(&self) -> usize;
 
-    /// Queues one sub-request for its shard.
-    fn enqueue(&self, request: WireRequest<X>);
+    /// Queues one sub-request for its shard, re-anchoring its deadline
+    /// budget to the local clock.
+    fn enqueue(&self, frontier: WireFrontier<X>);
 
     /// Sub-requests currently queued for `shard` (feeds the
     /// `shard.queue_depth.<s>` gauge).
@@ -144,23 +118,17 @@ where
         self.engines.len()
     }
 
-    fn enqueue(&self, request: WireRequest<X>) {
-        // Round-trip the slice through the wire shape: the transport is
-        // written against the protocol, not against in-process access.
-        let msg: ShardMsg<X, S::Output> = ShardMsg::frontier(
-            request.request,
-            request.shard,
-            request.slice,
-            request.deadline_micros,
-        );
+    fn enqueue(&self, frontier: WireFrontier<X>) {
+        let deadline = frontier.deadline_from(Instant::now());
+        let (id, s) = (frontier.request, frontier.shard);
         let sub = MxvRequest {
-            frontier: msg.into_frontier().expect("just packed a frontier"),
-            mask: request.mask,
-            algorithm: request.algorithm,
-            deadline: request.deadline,
+            frontier: frontier.slice,
+            mask: frontier.mask,
+            algorithm: frontier.algorithm,
+            deadline,
         };
-        let ticket = self.engines[request.shard].submit(sub);
-        crate::engine::lock(&self.inflight).push((request.request, request.shard, ticket));
+        let ticket = self.engines[s].submit(sub);
+        crate::engine::lock(&self.inflight).push((id, s, ticket));
     }
 
     fn queued(&self, shard: usize) -> usize {
@@ -217,24 +185,19 @@ where
                 ticket.cancel();
                 continue;
             }
-            if let Some(msg) = &down[s] {
-                ticket.cancel();
-                replies.push(ShardMsg::error(id, s, EngineError::KernelFailed(msg.clone())));
-                continue;
-            }
-            let reply = match ticket.try_take() {
-                Some(Ok(y)) => ShardMsg::partial(id, s, y),
-                Some(Err(e)) => ShardMsg::error(id, s, e),
-                None => {
+            // A lane still queued in a downed or unflushed shard is
+            // cancelled so the shard queue sheds it at its next flush.
+            let result = match &down[s] {
+                Some(msg) => {
                     ticket.cancel();
-                    ShardMsg::error(
-                        id,
-                        s,
-                        EngineError::KernelFailed("shard never flushed the sub-request".into()),
-                    )
+                    Err(EngineError::KernelFailed(msg.clone()))
                 }
+                None => ticket.try_take().unwrap_or_else(|| {
+                    ticket.cancel();
+                    Err(EngineError::KernelFailed("shard never flushed the sub-request".into()))
+                }),
             };
-            replies.push(reply);
+            replies.push(Frame::reply(id, s, result));
         }
         Exchange { replies, per_shard, shards_flushed, execute_time }
     }

@@ -814,3 +814,62 @@ fn byzantine_truncated_reply_quarantines_then_heals() {
         }
     }
 }
+
+/// `net.decode.time` times decoding only. With every host kernel group
+/// delayed by 50 ms, that wait shows up in `net.rpc.time` and not in the
+/// decode histogram.
+#[test]
+fn decode_time_excludes_the_wait_for_the_host_kernel() {
+    use spmspv::net::{ShardHost, TcpConfig};
+    use spmspv::obs::ObsConfig;
+    use spmspv::shard::{ShardPlan, ShardedEngine};
+    let _fp = fp_lock();
+    let a = integral_matrix(60, 4.0, 94);
+    let plan = ShardPlan::uniform(a.ncols(), 1);
+    let host = ShardHost::bind(
+        "127.0.0.1:0",
+        0,
+        plan.range(0),
+        a.clone(),
+        PlusTimes,
+        EngineConfig::default(),
+    )
+    .expect("bind an ephemeral localhost port");
+    let addr = host.local_addr().expect("bound listener has an address");
+    let handle = host.spawn();
+    let router = ShardedEngine::<f64, f64, PlusTimes>::connect(
+        plan,
+        a.nrows(),
+        PlusTimes,
+        &[addr],
+        TcpConfig { heartbeat: None, ..TcpConfig::default() },
+        ObsConfig::default(),
+    )
+    .expect("dial the host");
+
+    let x = confined_vec(a.ncols(), &(0..a.ncols()), 5);
+    let ticket = router.submit(MxvRequest::new(x.clone()));
+    {
+        let _g = failpoint::arm(
+            "engine.flush.execute",
+            FailAction::Delay(Duration::from_millis(50)),
+            None,
+        );
+        let outcome = router.flush();
+        assert_eq!(outcome.failed, 0, "{:?}", outcome.failures);
+    }
+    let y = claim(&ticket).expect("the delayed host still serves");
+    assert!(y.same_entries(&independent_run(&a, &x, None)));
+
+    let snap = router.obs().snapshot();
+    let delay = Duration::from_millis(50).as_nanos() as u64;
+    let rpc = snap.histogram("net.rpc.time").expect("net.rpc.time registered");
+    let decode = snap.histogram("net.decode.time").expect("net.decode.time registered");
+    assert_eq!(rpc.count, 1, "one remote flush, one round trip");
+    assert!(decode.count >= 2, "a partial and the Done summary were decoded");
+    assert!(rpc.sum >= delay, "the round trip includes the host's delay: {} ns", rpc.sum);
+    assert!(decode.sum < delay, "decode time counts the host's delay: {} ns", decode.sum);
+
+    drop(router);
+    handle.shutdown();
+}

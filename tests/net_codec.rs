@@ -7,6 +7,7 @@
 //! length field.
 
 use std::io::Cursor;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use sparse_substrate::{MaskBits, SparseVec};
@@ -69,10 +70,9 @@ impl GenFrontier {
             shard: self.shard,
             slice: SparseVec::from_pairs(self.n, pairs).expect("unique in-range indices"),
             deadline_micros: self.deadline_micros,
-            mask: self
-                .mask
-                .as_ref()
-                .map(|(rows, mode)| (MaskBits::from_indices(self.n, rows.iter().copied()), *mode)),
+            mask: self.mask.as_ref().map(|(rows, mode)| {
+                (Arc::new(MaskBits::from_indices(self.n, rows.iter().copied())), *mode)
+            }),
             algorithm: self.algorithm,
         })
     }
@@ -356,7 +356,7 @@ fn corrupt_payloads_are_typed_not_panics() {
         shard: 0,
         slice: SparseVec::new(10),
         deadline_micros: None,
-        mask: Some((MaskBits::from_indices(10, [3usize]), MaskMode::Keep)),
+        mask: Some((Arc::new(MaskBits::from_indices(10, [3usize])), MaskMode::Keep)),
         algorithm: None,
     });
     let mut buf = Vec::new();
@@ -410,7 +410,7 @@ fn empty_and_huge_frontiers_round_trip() {
         shard: 4_000_000,
         slice: SparseVec::from_pairs(n, pairs).unwrap(),
         deadline_micros: Some(u64::MAX),
-        mask: Some((MaskBits::from_indices(n, (0..n).step_by(3)), MaskMode::Complement)),
+        mask: Some((Arc::new(MaskBits::from_indices(n, (0..n).step_by(3))), MaskMode::Complement)),
         algorithm: Some(BatchAlgorithmKind::Adaptive),
     });
     assert_round_trip(&huge).unwrap();
@@ -537,4 +537,36 @@ fn non_monotone_partial_bytes_are_corrupt() {
     let mut oversize = good;
     oversize[first_index + 16..first_index + 24].copy_from_slice(&u64::MAX.to_le_bytes());
     assert_eq!(decode_err(&oversize), DecodeError::Corrupt("vector index out of range"));
+}
+
+/// A reader that serves `data` and then EOF, remembering the largest
+/// buffer any `read` call was handed.
+struct RecordingReader {
+    data: Cursor<Vec<u8>>,
+    largest_read: usize,
+}
+
+impl std::io::Read for RecordingReader {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.largest_read = self.largest_read.max(buf.len());
+        std::io::Read::read(&mut self.data, buf)
+    }
+}
+
+#[test]
+fn read_frame_allocates_by_the_bytes_that_arrive_not_the_header_claim() {
+    // A header claiming the largest legal payload, then 16 bytes and EOF.
+    let mut data = MAGIC.to_vec();
+    data.push(VERSION);
+    data.push(1); // Frontier
+    data.extend_from_slice(&(DEFAULT_MAX_FRAME as u32).to_le_bytes());
+    data.extend_from_slice(&[0xAB; 16]);
+    let mut reader = RecordingReader { data: Cursor::new(data), largest_read: 0 };
+    let got = read_frame::<f64, f64, _>(&mut reader, DEFAULT_MAX_FRAME);
+    assert!(matches!(got, Err(WireError::Decode(DecodeError::Truncated))), "got {got:?}");
+    assert!(
+        reader.largest_read <= 1 << 20,
+        "a read was handed a {}-byte buffer for 16 arriving bytes",
+        reader.largest_read
+    );
 }
